@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Dispatch benchmark: host ops/sec for each engine layer, each mode.
 
-Measures the three-layer engine (threaded dispatch, superinstruction
-fusion, inline caches) against the baseline if/elif interpreter on the
-steady-state ``sorter`` and ``server`` workloads, in plain-run, record,
-and replay modes.  Guest behavior is asserted identical across engines
+Measures the engine's two optimisation layers (superinstruction fusion,
+inline caches) against ``baseline`` — the same threaded dispatch loop
+with both layers off — on the steady-state ``sorter`` and ``server``
+workloads, in plain-run, record, and replay modes.  Guest behavior is asserted identical across engines
 (same cycles) — the layers may only change how fast the host gets there.
 
 Usage:
@@ -50,8 +50,7 @@ RECORD_FLOOR = 0.8
 #: ablation layers, innermost first (each row adds one layer)
 ENGINES = {
     "baseline": EngineConfig.baseline(),
-    "threaded": EngineConfig(threaded_dispatch=True, fusion=False, inline_caches=False),
-    "fused": EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False),
+    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 

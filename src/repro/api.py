@@ -75,8 +75,7 @@ class GuestProgram:
 #: preset resolves to *exactly* the EngineConfig the CLI one-shot uses.
 ENGINE_PRESETS = {
     "baseline": EngineConfig.baseline(),
-    "threaded": EngineConfig(threaded_dispatch=True, fusion=False, inline_caches=False),
-    "fused": EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False),
+    "fused": EngineConfig(fusion=True, inline_caches=False),
     "full": EngineConfig(),
 }
 

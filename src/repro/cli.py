@@ -171,8 +171,9 @@ def cmd_record(args) -> int:
     _print_result(session.result)
     print(
         f"-- trace: {session.trace.n_switch_records} switch records, "
-        f"{session.trace.n_value_words} value words, "
-        f"{session.trace.encoded_size_bytes} bytes -> {args.out}"
+        f"{session.trace.n_value_words} value words "
+        f"({session.trace.encoded_size_bytes} bytes as raw varints); "
+        f"{Path(args.out).stat().st_size} bytes -> {args.out}"
     )
     slim_info = session.trace.slim_info
     if slim_info is not None:
@@ -834,8 +835,9 @@ def make_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=sorted(ENGINE_PRESETS),
             default="full",
-            help="dispatch layers: baseline | threaded | fused | full "
-            "(guest behavior is identical under all of them)",
+            help="optimisation layers on the threaded loop: baseline (none) "
+            "| fused (superinstructions) | full (fusion + inline caches); "
+            "guest behavior is identical under all of them",
         )
 
     p = sub.add_parser("run", help="execute a guest program")

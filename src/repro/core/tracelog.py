@@ -56,6 +56,7 @@ import heapq
 import io
 import os
 import queue
+import re
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -572,7 +573,23 @@ def _decode_segment_payload(payload: bytes, codec: int, stream: str) -> list[int
 
 
 # ---------------------------------------------------------------------------
-# meta encoding (shared by v2 and v3: repr of sorted items, eval'd back)
+# meta encoding (shared by v2 and v3, and by checkpoint headers: repr of
+# sorted items, read back as a Python literal)
+
+#: text made only of the tokens the repr of plain data holds: strings,
+#: numbers, True, False, None, brackets, commas, colons, minus signs and
+#: whitespace.  No string may open a triple quote, so each string ends at
+#: the same quote for this pattern as for Python's tokenizer.  Such text
+#: names nothing and has no attribute access and no operator but minus:
+#: evaluating it can only build literals.
+_LITERAL_TEXT = re.compile(
+    r"(?:[\s\-()\[\]{},:]++"
+    r"|'(?!'')[^'\\\n\r]*+(?:\\[^\n\r][^'\\\n\r]*+)*+'"
+    r'|"(?!"")[^"\\\n\r]*+(?:\\[^\n\r][^"\\\n\r]*+)*+"'
+    r"|\d++(?:\.\d++)?(?:[eE][-+]?\d++)?"
+    r"|True|False|None)*+",
+    re.ASCII,
+)
 
 
 def _encode_meta(meta: dict) -> bytes:
@@ -580,8 +597,17 @@ def _encode_meta(meta: dict) -> bytes:
 
 
 def _decode_meta(blob: bytes, stream: str = "meta") -> dict:
+    # The blob is file input, and its CRC is no defence against a forger
+    # who recomputes it, so it is evaluated only once _LITERAL_TEXT has
+    # shown it to be a plain literal.  (ast.literal_eval is as safe, but
+    # builds a Python AST many times the blob's size: on a checkpoint
+    # header, which carries the whole event log, it doubled the decode
+    # time and raised a resumed replay's peak memory by about a sixth.)
     try:
-        return dict(eval(blob.decode()))  # noqa: S307 - own format
+        text = blob.decode()
+        if _LITERAL_TEXT.fullmatch(text) is None:
+            raise ValueError("not a plain literal")
+        return dict(eval(text, {"__builtins__": {}}, {}))  # noqa: S307
     except Exception as exc:
         raise TraceFormatError(
             f"undecodable {stream} blob: {exc}", stream=stream, offset=0

@@ -111,8 +111,9 @@ def _exec_record(job: dict, pool: SessionPool, token, out: io.StringIO) -> dict:
     _print_result(session.result, out=out)
     print(
         f"-- trace: {session.trace.n_switch_records} switch records, "
-        f"{session.trace.n_value_words} value words, "
-        f"{session.trace.encoded_size_bytes} bytes -> {job['out_name']}",
+        f"{session.trace.n_value_words} value words "
+        f"({session.trace.encoded_size_bytes} bytes as raw varints); "
+        f"{len(trace_bytes)} bytes -> {job['out_name']}",
         file=out,
     )
     slim_info = session.trace.slim_info

@@ -554,7 +554,7 @@ class MachineCode:
     xweights: list[int] | None = None
     #: number of superinstructions emitted (static count)
     fused_groups: int = 0
-    #: threaded-dispatch handler table, bound lazily by the engine
+    #: handler table, bound lazily by the engine (see Engine._bind)
     entries: list | None = None
 
     def bci_at(self, pc: int) -> int:

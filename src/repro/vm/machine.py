@@ -57,12 +57,14 @@ class VMConfig:
 
 
 def with_baseline_engine(config: VMConfig | None) -> VMConfig:
-    """A copy of *config* running the unfused if/elif engine.
+    """A copy of *config* running the unfused engine (no fusion, no caches).
 
-    Debug-hook clients (profiler, coverage, breakpoints, time travel)
-    hook every *canonical* micro-op, which only the baseline engine
-    dispatches one at a time.  Forcing it here changes nothing the guest
-    can observe — that is the EngineConfig determinism contract."""
+    Debug-hook clients (profiler, coverage, breakpoints, time travel) and
+    the race detector's memory hook observe every *canonical* micro-op;
+    the hooks run on the same threaded loop as any other run, but a fused
+    superinstruction would hide the ops inside it.  Forcing the baseline
+    here changes nothing the guest can observe — that is the EngineConfig
+    determinism contract."""
     base = config or VMConfig()
     return replace(base, engine=EngineConfig.baseline())
 

@@ -100,7 +100,7 @@ class TestCaptureRestore:
 
     def test_boundaries_identical_across_all_engine_combos(self, recorded):
         """Cycle counting is deterministic under every dispatch config,
-        so all 8 combos snapshot at identical boundaries — and each
+        so all 4 combos snapshot at identical boundaries — and each
         combo's restore reproduces its own later digests exactly.  (The
         digests themselves are per-combo: the snapshot header carries
         engine statistics, which differ by dispatch configuration.)"""

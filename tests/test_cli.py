@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import io
+import re
 import sys
 
 import pytest
@@ -82,6 +83,17 @@ class TestRecordReplay:
         assert code == 0
         assert "total=55" in out
         assert "verified" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--compress"], ["--slim"]])
+    def test_record_prints_the_file_size(self, mj_file, tmp_path, capsys, flags):
+        trace = tmp_path / "t.djv"
+        code, out, _ = run_cli(
+            ["record", mj_file, "--seed", "7", "-o", str(trace), *flags], capsys
+        )
+        assert code == 0
+        printed = re.search(r"; (\d+) bytes -> (\S+)$", out, re.MULTILINE)
+        assert printed.group(2) == str(trace)
+        assert int(printed.group(1)) == trace.stat().st_size
 
     def test_trace_info(self, mj_file, tmp_path, capsys):
         trace = str(tmp_path / "t.djv")

@@ -1,11 +1,13 @@
 """The engine's optimization layers are invisible to the guest.
 
-Threaded dispatch, superinstruction fusion, and inline caches are pure
-host-side speed: every :class:`EngineConfig` combination must produce the
+Superinstruction fusion and inline caches are pure host-side speed on
+the one threaded dispatch loop, and so are the debug and memory hooks
+that ride on it: every :class:`EngineConfig` combination must produce the
 same cycles, events, heap digests, and trace bytes — and a trace recorded
 under one engine must replay under any other.  These tests pin that
 contract, plus the batched cycle-accounting semantics (budget before
-deadline, exact trap cycle) and the fusion legality invariants.
+deadline, exact trap cycle), the fusion legality invariants, and hook
+attachment on already-bound handler tables.
 """
 
 from __future__ import annotations
@@ -325,18 +327,6 @@ class TestYieldPointFusion:
         vm_base, _ = _run_bank(EngineConfig.baseline())
         assert vm_base.engine.cycles == engine.cycles
 
-    def test_switch_and_threaded_agree_on_fused_code(self):
-        switch_only = EngineConfig(
-            threaded_dispatch=False, fusion=True, inline_caches=False
-        )
-        threaded = EngineConfig(
-            threaded_dispatch=True, fusion=True, inline_caches=False
-        )
-        _, a = _run_bank(switch_only)
-        _, b = _run_bank(threaded)
-        assert a.heap_digest == b.heap_digest
-        assert a.cycles == b.cycles
-
 
 # ---------------------------------------------------------------------------
 # inline caches
@@ -352,12 +342,88 @@ class TestInlineCaches:
         assert stats["ic_invalidations"] > 0  # class loads flushed caches
 
     def test_disabled_caches_never_consulted(self):
-        engine = EngineConfig(threaded_dispatch=True, fusion=True, inline_caches=False)
+        engine = EngineConfig(fusion=True, inline_caches=False)
         vm, _ = _run_bank(engine, factory=lambda: server(seed=11))
         stats = vm.engine_stats()
         assert stats["ic_hits"] == 0 and stats["ic_misses"] == 0
         # sites still exist (compiled in), they are just not used
         assert stats["ic_sites"] > 0
+
+
+# ---------------------------------------------------------------------------
+# hooks on the threaded loop
+
+
+class _CountingCheck:
+    """A debug controller that never pauses; counts its checks."""
+
+    paused = False
+
+    def __init__(self):
+        self.calls = 0
+
+    def check(self, thread, frame, pc) -> bool:
+        self.calls += 1
+        return False
+
+
+class TestHookedTables:
+    @pytest.mark.parametrize("hook", ["debug", "mem_hook"])
+    @pytest.mark.parametrize("engine", [EngineConfig.baseline(), EngineConfig()],
+                             ids=lambda e: e.describe())
+    def test_hook_attached_mid_run_fires_then_stops(self, hook, engine):
+        """Tables bound unhooked pick up a hook attached between two
+        scheduling quanta, and drop it again once it is detached."""
+        plain_vm, plain = _run_bank(engine)
+        vm = build_vm(racy_bank(), _cfg(engine), **jitter_knobs(11))
+        counter = _CountingCheck()
+        if hook == "debug":
+            observer = counter
+        else:
+
+            def observer(thread, frame, pc, mop, a, b, stack):
+                counter.calls += 1
+
+        safepoints = []
+
+        def at_safepoint(engine_):
+            safepoints.append(counter.calls)
+            if len(safepoints) == 3:
+                assert engine_._bound  # tables already bound, unhooked
+                setattr(engine_, hook, observer)
+            elif len(safepoints) == 6:
+                setattr(engine_, hook, None)
+
+        vm.engine.safepoint_hook = at_safepoint
+        result = vm.run("Main.main()V")
+        assert len(safepoints) > 6
+        assert safepoints[2] == 0  # nothing fired before the attach
+        assert safepoints[5] > 0  # fired while attached
+        assert safepoints[-1] == safepoints[5]  # silent after the detach
+        assert result.cycles == plain.cycles
+        assert result.events == plain.events
+        assert result.heap_digest == plain.heap_digest
+
+    def test_paused_op_is_charged_once(self):
+        """Pausing at every hit of a breakpoint and resuming ends exactly
+        where an unhooked replay does: the op a pause stops before is
+        charged when it runs, not also when it pauses."""
+        from repro.debugger import ReplaySession
+
+        recorded = record(racy_bank(), config=CFG, **jitter_knobs(5))
+        plain = replay(racy_bank(), recorded.trace, config=CFG)
+        session = ReplaySession(racy_bank(), recorded.trace, config=CFG)
+        session.add_breakpoint("Teller.run()V", bci=4)
+        stops = 0
+        while session.resume() == "breakpoint":
+            stops += 1
+            if stops % 3 == 0:
+                session.step()
+        debugged = session.run_to_completion()
+        assert stops > 3
+        assert debugged.cycles == plain.cycles
+        assert debugged.events == plain.events
+        assert debugged.heap_digest == plain.heap_digest
 
 
 # ---------------------------------------------------------------------------
@@ -397,4 +463,4 @@ done:
         path = tmp_path / "p.jasm"
         path.write_text(".class Main\n.method static main ()V\n    return\n.end\n")
         assert main(["engine-stats", str(path), "--seed", "3", "--engine", "baseline"]) == 0
-        assert "engine: switch" in capsys.readouterr().out
+        assert "engine: threaded" in capsys.readouterr().out

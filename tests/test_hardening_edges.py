@@ -1,11 +1,13 @@
 """Degenerate-input audits: salvage edge cases and frame reassembly.
 
-Two satellite hardening passes, pinned as regression tests:
+Satellite hardening passes, pinned as regression tests:
 
 * :meth:`TraceLog.salvage` on pathological files — empty, header-only,
   cut exactly at a segment boundary, cut mid-segment-header — must
   return a well-typed result (a typed error or a clean truncated log),
   never an index error or a silently wrong stream;
+* a CRC-valid trace whose meta or footer segment holds code must be
+  rejected as a typed format error without running it;
 * :class:`FrameDecoder` on adversarial chunking — a partial length
   prefix at EOF, a frame split across feeds, several frames in one
   chunk — must buffer/reassemble exactly, and the serve loop must *log*
@@ -13,11 +15,19 @@ Two satellite hardening passes, pinned as regression tests:
 """
 
 import socket
+import zlib
 
 import pytest
 
 from repro.api import record
-from repro.core.tracelog import MAGIC, FORMAT_VERSION, TraceLog
+from repro.core.tracelog import (
+    CODEC_RAW,
+    FORMAT_VERSION,
+    MAGIC,
+    SEG_FOOTER,
+    SEG_META,
+    TraceLog,
+)
 from repro.debugger import Debugger, DebuggerClient, DebuggerServer, ReplaySession
 from repro.debugger.protocol import (
     LEN_BYTES,
@@ -99,6 +109,70 @@ class TestSalvageDegenerates:
         assert not salvaged.truncated
         assert salvaged.switches == loaded.switches
         assert salvaged.values == loaded.values
+
+
+class TestHostileMeta:
+    """Meta and footer blobs are file input: decoding one must never run
+    it, however valid the forger made its CRC."""
+
+    @pytest.mark.parametrize("kind, stream", [(SEG_META, "meta"), (SEG_FOOTER, "footer")])
+    def test_code_in_meta_is_rejected_not_run(self, tmp_path, capsys, kind, stream):
+        from repro.cli import main
+
+        marker = tmp_path / "ran"
+        payload = f"__import__('pathlib').Path({str(marker)!r}).write_text('x')".encode()
+        path = tmp_path / "forged.djv"
+        path.write_bytes(
+            MAGIC
+            + FORMAT_VERSION.to_bytes(2, "little")
+            + kind
+            + bytes([CODEC_RAW])
+            + len(payload).to_bytes(4, "little")
+            + zlib.crc32(payload).to_bytes(4, "little")
+            + payload
+        )
+        with pytest.raises(TraceFormatError) as exc_info:
+            TraceLog.load(path)
+        assert exc_info.value.stream == stream
+        assert main(["trace-stats", str(path)]) == 2
+        assert f"undecodable {stream} blob" in capsys.readouterr().err
+        assert not marker.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "__import__('os')",
+            "().__class__.__base__.__subclasses__()",
+            "[c for c in ()]",
+            "f'{1}'",
+            "b'x'",
+            # a triple quote ends its string where a one-quote string does
+            # not, which would smuggle the attribute chain out of "a string"
+            "[('k', ''' ' ''' + ().__class__.__name__ + ''' ' ''')]",
+            '[("k", """ " """ + ().__class__.__name__ + """ " """)]',
+            "[1] * 10 ** 10",
+            "'a\\\n'",
+            "1 if 1 else 2",
+            "lambda: 1",
+            "Truex",
+        ],
+    )
+    def test_decoder_accepts_only_plain_literals(self, text):
+        from repro.core.tracelog import _decode_meta
+
+        with pytest.raises(TraceFormatError):
+            _decode_meta(text.encode())
+
+    def test_decoder_round_trips_plain_data(self):
+        from repro.core.tracelog import _decode_meta, _encode_meta
+
+        meta = {
+            "ints": (0, -7, 1 << 70, -(1 << 70)),
+            "floats": [0.5, -2.25, 1e16, 1e-300],
+            "strings": ["", "'", '"', "\\", "a'''b", 'a"""b', "\n\r\t", "é ∑"],
+            "nested": {"k": [(1, None), (True, False)], "s": {3, 4}},
+        }
+        assert _decode_meta(_encode_meta(meta)) == meta
 
 
 class TestFrameDecoderPins:

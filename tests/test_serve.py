@@ -4,7 +4,7 @@ The daemon's contract has three load-bearing claims, each pinned here:
 
 * **Byte-identity**: a job served from the warm daemon returns stdout
   (and, for record, trace bytes) byte-identical to the CLI one-shot —
-  across every engine preset and all 8 dispatch-flag combinations, and
+  across every engine preset and all 4 engine-flag combinations, and
   identically warm or cold.  Warm sessions may change latency, never
   results.
 * **Robustness envelope**: typed validation (poison jobs answer with a
@@ -51,7 +51,7 @@ from repro.serve.supervisor import CancelToken
 from repro.vm.engineconfig import EngineConfig
 
 ALL_ENGINES = EngineConfig.all_combinations()
-PRESETS = ("baseline", "threaded", "fused", "full")
+PRESETS = ("baseline", "fused", "full")
 
 #: an infinite guest loop that still reaches engine safe points: the
 #: loop *body* executes the backedge yield point every iteration (a bare
@@ -496,12 +496,11 @@ class TestByteIdentity:
         "engine", ALL_ENGINES, ids=[e.describe() for e in ALL_ENGINES]
     )
     def test_all_engine_combos_warm_equals_oneshot(self, daemon, engine):
-        """The 8-combo ablation space, via engine-flag dicts: a warm
+        """The 4-combo ablation space, via engine-flag dicts: a warm
         daemon run is identical to a cold one-shot executor run."""
         from repro.serve.jobs import run_job
 
         flags = {
-            "threaded_dispatch": engine.threaded_dispatch,
             "fusion": engine.fusion,
             "inline_caches": engine.inline_caches,
         }
