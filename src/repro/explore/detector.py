@@ -18,7 +18,9 @@ Two accesses to the same word race when neither happens before the other
 and at least one is a write.  Per word the detector keeps FastTrack-style
 epochs — the last write and the reads since it, each an ``(tid, clock)``
 pair plus its source site — so the happens-before test per access is a
-single clock comparison, not a full vector join.
+single clock comparison, not a full vector join.  A site is kept as the
+accessing frame's ``(code, pc)``; method names, bcis and location names
+are built only when a race is reported.
 
 **Perturbation-freedom.**  Every hook is host-side and read-only: the
 detector allocates nothing in the guest heap, never blocks a thread, and
@@ -53,7 +55,7 @@ from repro.vm.compiler import (
     M_PUTFIELD,
     M_PUTSTATIC,
 )
-from repro.vm.layout import HEADER_WORDS
+from repro.vm.layout import HEADER_AUX, HEADER_WORDS
 from repro.vm.machine import VMConfig, with_baseline_engine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,31 +114,44 @@ class RegionSummary:
 
 
 class RaceDetector:
-    """Attach to a VM before ``run``; read ``races`` after."""
+    """Attach to a VM before ``run``; read ``races`` after.
+
+    The per-access path (``_on_mem``) does only integer and dict work:
+    an access site is the pair ``(code, pc)`` of the accessing frame,
+    stored in plain tuples, and no name is built.  ``_report`` — reached
+    only for an unordered conflicting pair — turns sites into
+    :class:`AccessSite` objects and names the location.  It runs inside
+    the hook of the second access, whose operands are still on the stack
+    and before any collection can move the object, so every name is the
+    one an eager namer would have built at that access.
+    """
 
     def __init__(self, vm: "VirtualMachine"):
         self.vm = vm
         self.races: list[Race] = []
-        self.stats = {
-            "accesses": 0,
-            "sync_edges": 0,
-            "gc_invalidations": 0,
-        }
+        self._accesses = 0
+        self._sync_edges = 0
+        self._gc_invalidations = 0
         self._seen: set[tuple] = set()
         # vector clocks: tid -> {tid: clock}
         self._vc: dict[int, dict[int, int]] = {}
         # per-lock published clocks: lock addr -> {tid: clock}
         self._lock_vc: dict[int, dict[int, int]] = {}
-        # FastTrack state per word address (last entry is the region index)
-        self._write: dict[int, tuple[int, int, AccessSite, int]] = {}
-        self._reads: dict[int, dict[int, tuple[int, AccessSite, int]]] = {}
+        # FastTrack state per word address, sites kept as (code, pc):
+        #   _write[word] = (tid, clock, code, pc, region)  the last write
+        #   _reads[word][tid] = (clock, code, pc, region)  reads since it
+        self._write: dict[int, tuple] = {}
+        self._reads: dict[int, dict[int, tuple]] = {}
+        self._collector = vm.collector
         self._gc_seen = vm.collector.collections
+        # array lengths are read straight from the header's aux word
+        self._words = vm.om.memory.words
         # incremental race-region summary: a region is the window between
         # two thread switches; the caller closes one with end_region()
         self.region_index = 0
         self.racy_regions: set[int] = set()
         self.regions: list[RegionSummary] = []
-        self._region_accesses = 0
+        self._region_start = 0  # self._accesses when the region opened
         self._region_new_races: list[Race] = []
         # words that ever raced: later windows touching one stay pinned
         self._racy_words: set[int] = set()
@@ -145,6 +160,16 @@ class RaceDetector:
         vm.monitors.on_release = self._on_release
         vm.scheduler.on_spawn = self._on_spawn
         vm.scheduler.on_wakeup = self._on_wakeup
+
+    @property
+    def stats(self) -> dict:
+        """Counters: accesses observed, synchronized-with edges joined, and
+        GC invalidations (address-keyed state dropped after a collection)."""
+        return {
+            "accesses": self._accesses,
+            "sync_edges": self._sync_edges,
+            "gc_invalidations": self._gc_invalidations,
+        }
 
     # ------------------------------------------------------------------
     # vector clock plumbing
@@ -163,7 +188,7 @@ class RaceDetector:
                 into[tid] = clk
 
     def _check_gc(self) -> None:
-        collections = self.vm.collector.collections
+        collections = self._collector.collections
         if collections != self._gc_seen:
             # the collector moved every object: address-keyed state is
             # meaningless now (re-keying through the forwarder would keep
@@ -173,7 +198,7 @@ class RaceDetector:
             self._reads.clear()
             self._lock_vc.clear()
             self._racy_words.clear()
-            self.stats["gc_invalidations"] += 1
+            self._gc_invalidations += 1
 
     # ------------------------------------------------------------------
     # synchronized-with edges
@@ -184,18 +209,18 @@ class RaceDetector:
             self._join(child_vc, self._clock(parent.tid))
             parent_vc = self._clock(parent.tid)
             parent_vc[parent.tid] += 1
-            self.stats["sync_edges"] += 1
+            self._sync_edges += 1
 
     def _on_wakeup(self, cause: str, source: "GreenThread", target: "GreenThread") -> None:
         self._join(self._clock(target.tid), self._clock(source.tid))
-        self.stats["sync_edges"] += 1
+        self._sync_edges += 1
 
     def _on_acquire(self, addr: int, thread: "GreenThread") -> None:
         self._check_gc()
         lock_vc = self._lock_vc.get(addr)
         if lock_vc is not None:
             self._join(self._clock(thread.tid), lock_vc)
-            self.stats["sync_edges"] += 1
+            self._sync_edges += 1
 
     def _on_release(self, addr: int, thread: "GreenThread") -> None:
         self._check_gc()
@@ -207,37 +232,38 @@ class RaceDetector:
     # memory accesses
 
     def _on_mem(self, thread, frame, pc, mop, a, b, stack) -> None:
-        if mop == M_GETFIELD:
-            base = stack[-1]
+        # the heap word and direction; null bases and out-of-range indices
+        # are skipped (the op itself is about to trap)
+        if mop == M_IALOAD or mop == M_AALOAD:
+            arr = stack[-2]
+            idx = stack[-1]
+            if not arr or not 0 <= idx < self._words[arr + HEADER_AUX]:
+                return
+            word = arr + HEADER_WORDS + idx
+            write = False
+        elif mop == M_IASTORE or mop == M_AASTORE:
+            arr = stack[-3]
+            idx = stack[-2]
+            if not arr or not 0 <= idx < self._words[arr + HEADER_AUX]:
+                return
+            word = arr + HEADER_WORDS + idx
+            write = True
+        elif mop == M_GETSTATIC or mop == M_PUTSTATIC:
+            # a is the class, b the offset into its statics object
+            base = a.statics_addr
             if not base:
                 return
-            word, kind, loc = base + a, READ, self._field_name(base, a)
-        elif mop == M_PUTFIELD:
-            base = stack[-2]
+            word = base + b
+            write = mop == M_PUTSTATIC
+        else:  # M_GETFIELD / M_PUTFIELD: a is the field offset
+            write = mop == M_PUTFIELD
+            base = stack[-2] if write else stack[-1]
             if not base:
                 return
-            word, kind, loc = base + a, WRITE, self._field_name(base, a)
-        elif mop == M_GETSTATIC:
-            if not a.statics_addr:
-                return
-            word, kind, loc = a.statics_addr + b, READ, self._static_name(a, b)
-        elif mop == M_PUTSTATIC:
-            if not a.statics_addr:
-                return
-            word, kind, loc = a.statics_addr + b, WRITE, self._static_name(a, b)
-        elif mop == M_IALOAD or mop == M_AALOAD:
-            arr, idx = stack[-2], stack[-1]
-            if not self._index_ok(arr, idx):
-                return
-            word, kind, loc = arr + HEADER_WORDS + idx, READ, self._elem_name(arr, idx)
-        else:  # M_IASTORE / M_AASTORE
-            arr, idx = stack[-3], stack[-2]
-            if not self._index_ok(arr, idx):
-                return
-            word, kind, loc = arr + HEADER_WORDS + idx, WRITE, self._elem_name(arr, idx)
-        self._check_gc()
-        self.stats["accesses"] += 1
-        self._region_accesses += 1
+            word = base + a
+        if self._collector.collections != self._gc_seen:
+            self._check_gc()
+        self._accesses += 1
         region = self.region_index
         if word in self._racy_words:
             # any later touch of a word that ever raced keeps its window
@@ -245,34 +271,43 @@ class RaceDetector:
 
         tid = thread.tid
         vc = self._clock(tid)
-        site = AccessSite(
-            method=frame.method.qualname,
-            bci=frame.code.xbci_of[pc],
-            kind=kind,
-            tid=tid,
-        )
+        code = frame.code
         last_write = self._write.get(word)
         if last_write is not None:
-            wt, wc, wsite, wregion = last_write
+            wt, wc, wcode, wpc, wregion = last_write
             if wt != tid and wc > vc.get(wt, 0):
-                self._report(word, loc, wsite, site, wregion)
-        if kind == READ:
-            self._reads.setdefault(word, {})[tid] = (vc[tid], site, region)
+                self._report(word, wregion, (wt, wcode, wpc, WRITE),
+                             (tid, code, pc, WRITE if write else READ),
+                             mop, a, b, stack)
+        if write:
+            reads = self._reads.pop(word, None)
+            if reads:
+                for rt, (rc, rcode, rpc, rregion) in reads.items():
+                    if rt != tid and rc > vc.get(rt, 0):
+                        self._report(word, rregion, (rt, rcode, rpc, READ),
+                                     (tid, code, pc, WRITE), mop, a, b, stack)
+            self._write[word] = (tid, vc[tid], code, pc, region)
         else:
-            for rt, (rc, rsite, rregion) in self._reads.get(word, {}).items():
-                if rt != tid and rc > vc.get(rt, 0):
-                    self._report(word, loc, rsite, site, rregion)
-            self._write[word] = (tid, vc[tid], site, region)
-            self._reads[word] = {}
+            reads = self._reads.get(word)
+            if reads is None:
+                self._reads[word] = {tid: (vc[tid], code, pc, region)}
+            else:
+                reads[tid] = (vc[tid], code, pc, region)
 
     def _report(
         self,
         word: int,
-        location: str,
-        first: AccessSite,
-        second: AccessSite,
         first_region: int,
+        first: tuple,
+        second: tuple,
+        mop: int,
+        a,
+        b,
+        stack: list,
     ) -> None:
+        """Record the race between *first* and *second*, each a ``(tid,
+        code, pc, kind)`` site; the second is the access whose hook is
+        running, with operands ``mop, a, b, stack``."""
         # region pinning happens before (site-pair) dedup: a race seen
         # again in a later window still marks that window racy, and the
         # first access pins its own — possibly much earlier — window
@@ -280,19 +315,20 @@ class RaceDetector:
         self._racy_words.add(word)
         self.racy_regions.add(self.region_index)
         self.racy_regions.add(first_region)
-        key = (
-            location,
-            first.method,
-            first.bci,
-            first.kind,
-            second.method,
-            second.bci,
-            second.kind,
-        )
+        location = self._location(mop, a, b, stack)
+        ftid, fcode, fpc, fkind = first
+        stid, scode, spc, skind = second
+        fbci = fcode.xbci_of[fpc]
+        sbci = scode.xbci_of[spc]
+        key = (location, fcode.qualname, fbci, fkind, scode.qualname, sbci, skind)
         if key in self._seen:
             return
         self._seen.add(key)
-        race = Race(location=location, first=first, second=second)
+        race = Race(
+            location=location,
+            first=AccessSite(method=fcode.qualname, bci=fbci, kind=fkind, tid=ftid),
+            second=AccessSite(method=scode.qualname, bci=sbci, kind=skind, tid=stid),
+        )
         self.races.append(race)
         self._region_new_races.append(race)
 
@@ -306,17 +342,29 @@ class RaceDetector:
         summary = RegionSummary(
             index=index,
             racy=index in self.racy_regions,
-            n_accesses=self._region_accesses,
+            n_accesses=self._accesses - self._region_start,
             races=tuple(self._region_new_races),
         )
         self.regions.append(summary)
         self.region_index = index + 1
-        self._region_accesses = 0
+        self._region_start = self._accesses
         self._region_new_races = []
         return summary
 
     # ------------------------------------------------------------------
     # naming (for reports only — never guest-visible)
+
+    def _location(self, mop: int, a, b, stack: list) -> str:
+        """Name the word the memory op about to run touches."""
+        if mop == M_GETFIELD:
+            return self._field_name(stack[-1], a)
+        if mop == M_PUTFIELD:
+            return self._field_name(stack[-2], a)
+        if mop == M_IALOAD or mop == M_AALOAD:
+            return self._elem_name(stack[-2], stack[-1])
+        if mop == M_IASTORE or mop == M_AASTORE:
+            return self._elem_name(stack[-3], stack[-2])
+        return self._static_name(a, b)
 
     def _field_name(self, base: int, offset: int) -> str:
         try:
@@ -342,14 +390,6 @@ class RaceDetector:
         except Exception:
             return f"?[{idx}]"
         return f"{layout.name}[{idx}]"
-
-    def _index_ok(self, arr: int, idx: int) -> bool:
-        if not arr:
-            return False
-        try:
-            return 0 <= idx < self.vm.om.array_length(arr)
-        except Exception:
-            return False
 
 
 @dataclass
@@ -385,4 +425,4 @@ def detect_races(
     DejaVu(vm, MODE_REPLAY, trace=trace, symmetry=symmetry)
     detector = RaceDetector(vm)
     result = vm.run(program.main)
-    return RaceReport(races=detector.races, result=result, stats=dict(detector.stats))
+    return RaceReport(races=detector.races, result=result, stats=detector.stats)
