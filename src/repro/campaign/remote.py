@@ -62,7 +62,7 @@ from repro.core.framing import (
     decode_pickle_payload,
     encode_pickle_message,
 )
-from repro.core.server import SocketServer
+from repro.core.server import SocketServer, spawn_daemon
 
 #: remote protocol revision; bumped on any wire-incompatible change
 PROTOCOL_VERSION = 1
@@ -238,8 +238,10 @@ class WorkerServer(SocketServer):
         if op == "shard":
             return self._run_shard(conn, message)
         if op == "shutdown":
-            self._send(conn, {"op": "bye"})
+            # close the listener before replying: a client that read
+            # ``bye`` can no longer connect
             self.request_stop()
+            self._send(conn, {"op": "bye"})
             return False
         return self._send(conn, {"op": "error", "detail": f"unknown op {op!r}"})
 
@@ -415,40 +417,9 @@ def spawn_worker_process(
     sabotage: "str | None" = None, host: str = "127.0.0.1"
 ):
     """Launch ``repro worker`` as a subprocess; return ``(proc, (host,
-    port))`` once the daemon announces its listening address.
-
-    The worker prints ``repro worker listening on HOST:PORT`` as its
-    first stdout line (flushed), which is the only rendezvous needed —
-    no port race, no sleep-and-hope.
-    """
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    argv = [sys.executable, "-m", "repro.cli", "worker", "--host", host, "--port", "0"]
+    port))`` once the daemon announces its listening address (see
+    :func:`repro.core.server.spawn_daemon`)."""
+    argv = ["worker", "--host", host, "--port", "0"]
     if sabotage:
         argv += ["--sabotage", sabotage]
-    # the daemon must find the same `repro` the parent runs, however the
-    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        proc.kill()
-        raise TransportError(f"worker failed to start: {line!r}")
-    addr = line.split(marker, 1)[1]
-    host_part, port_part = addr.rsplit(":", 1)
-    return proc, (host_part, int(port_part))
+    return spawn_daemon(argv, "worker")

@@ -34,6 +34,9 @@ Commands:
   checkpoint sidecar (``repro replay --checkpoint-every N`` writes one;
   ``repro replay --resume`` finishes a replay from it)
 
+``record``, ``replay``, ``explore``, ``doctor`` and ``trace-stats`` run
+the :mod:`repro.commands` executors, the same ones ``repro serve`` runs.
+
 Programs may be written in assembly (``.jasm``) or MiniJ (``.mj`` /
 ``.minij``); the extension picks the front end.  Everywhere a program
 path is accepted, ``--workload NAME`` builds a registered workload
@@ -54,18 +57,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+from repro import commands
 from repro.api import (
     ENGINE_PRESETS,
     GuestProgram,
     build_vm,
-    record as api_record,
     replay as api_replay,
     standard_knobs,
 )
+from repro.commands import JOB_DEFAULTS, KIND_DEFAULTS, print_result as _print_result
 from repro.core import TraceLog
-from repro.vm.errors import TraceFormatError, UsageError, VMError
+from repro.vm.errors import UsageError, VMError
 from repro.vm.machine import VMConfig
 
 
@@ -83,6 +88,40 @@ def load_program(path: str, main: str) -> GuestProgram:
     raise UsageError(f"unknown program type {p.suffix!r} (want .jasm, .mj, .minij)")
 
 
+class FileInputs:
+    """The inputs of a :mod:`repro.commands` executor run from the
+    command line: the program and trace files it names; output traces go
+    where ``-o`` says."""
+
+    def __init__(self, args):
+        self.program_path = getattr(args, "program", None)
+        self.trace_file = getattr(args, "trace", None)
+
+    def program(self, job: dict) -> "GuestProgram | None":
+        if job.get("workload"):
+            spec, kwargs = commands.workload_build(job)
+            return spec.build(kwargs)
+        if self.program_path is None:
+            return None
+        return load_program(self.program_path, job["main"])
+
+    def trace(self, job: dict) -> TraceLog:
+        return TraceLog.load(self.trace_file)
+
+    @contextmanager
+    def trace_path(self, job: dict):
+        yield self.trace_file
+
+    @contextmanager
+    def output_trace(self, job: dict):
+        # record streams segments to <out>.tmp as the run progresses; a
+        # crash leaves a salvageable prefix there instead of nothing
+        yield job["out_name"]
+
+    def trace_label(self, job: dict, path: str) -> str:
+        return path
+
+
 def _workload_overrides(args) -> dict:
     """Parse repeated ``-W key=value`` into build kwargs (ints when they
     look like ints, strings otherwise)."""
@@ -98,27 +137,30 @@ def _workload_overrides(args) -> dict:
     return overrides
 
 
+def _job(args, **fields) -> dict:
+    """The program and engine options of the command line as a job dict
+    (see :mod:`repro.commands`), plus the command's own *fields*."""
+    if args.workload is not None and args.program is not None:
+        raise UsageError("give a program file or --workload, not both")
+    return {
+        "workload": args.workload,
+        "workload_args": _workload_overrides(args),
+        "main": args.main,
+        "heap": args.heap,
+        "seed": args.seed,
+        "engine": args.engine,
+        **fields,
+    }
+
+
 def _resolve_program(args, trace: "TraceLog | None" = None) -> GuestProgram:
     """A program comes from a source path or from ``--workload``; when
     rebuilding for a trace, the trace's recorded build kwargs win (so the
     replayed program is the recorded one) unless overridden with -W."""
-    workload = getattr(args, "workload", None)
-    if workload is None:
-        if args.program is None:
-            raise UsageError("need a program file or --workload NAME")
-        return load_program(args.program, args.main)
-    if args.program is not None:
-        raise UsageError("give a program file or --workload, not both")
-    from repro.workloads.registry import get_workload
-
-    spec = get_workload(workload)
-    kwargs = dict(spec.defaults)
-    if trace is not None and trace.meta.get("workload") == spec.name:
-        kwargs.update(dict(trace.meta.get("workload_kwargs") or {}))
-    kwargs.update(_workload_overrides(args))
-    # so `record` can stamp the build into the trace meta
-    args._workload_meta = {"workload": spec.name, "workload_kwargs": kwargs}
-    return spec.build(kwargs)
+    job = _job(args)
+    if trace is not None:
+        job = commands.with_recorded_build(job, trace)
+    return commands.need_program(FileInputs(args), job)
 
 
 def _knobs(args) -> dict:
@@ -126,22 +168,7 @@ def _knobs(args) -> dict:
 
 
 def _config(args) -> VMConfig:
-    engine = ENGINE_PRESETS[getattr(args, "engine", "full")]
-    return VMConfig(semispace_words=args.heap, engine=engine)
-
-
-def _print_result(result, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    print(result.output_text, file=out)
-    print(
-        f"-- cycles={result.cycles} switches={result.switches} "
-        f"gc={result.gc_count} threads={len(result.yieldpoints)}",
-        file=out,
-    )
-    if result.deadlocked:
-        print(f"-- DEADLOCK: threads {list(result.deadlocked)}", file=out)
-    for tid, kind, detail in result.traps:
-        print(f"-- trap in thread {tid}: {detail}", file=out)
+    return commands.vm_config(vars(args))
 
 
 # ---------------------------------------------------------------------------
@@ -156,67 +183,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_record(args) -> int:
-    program = _resolve_program(args)
-    # stream segments to <out>.tmp as the run progresses; a crash leaves
-    # a salvageable prefix there instead of nothing
-    session = api_record(
-        program,
-        config=_config(args),
-        out=args.out,
-        compress=args.compress,
-        extra_meta=getattr(args, "_workload_meta", {}),
-        slim=getattr(args, "slim", False),
-        **_knobs(args),
-    )
-    _print_result(session.result)
-    print(
-        f"-- trace: {session.trace.n_switch_records} switch records, "
-        f"{session.trace.n_value_words} value words "
-        f"({session.trace.encoded_size_bytes} bytes as raw varints); "
-        f"{Path(args.out).stat().st_size} bytes -> {args.out}"
-    )
-    slim_info = session.trace.slim_info
-    if slim_info is not None:
-        print(
-            f"-- slim: kept {slim_info['kept']} switch delta(s), "
-            f"dropped {slim_info['dropped']} (model "
-            f"{slim_info['model'][0]}, {slim_info['sync_total']} sync events)"
-        )
-    elif getattr(args, "slim", False):
-        reason = session.trace.meta.get("slim_fallback", "?")
-        print(f"-- slim: fell back to full recording ({reason})")
-    return 0
+    job = _job(args, out_name=args.out, slim=args.slim, compress=args.compress)
+    return commands.record(job, FileInputs(args), sys.stdout)
 
 
 def cmd_replay(args) -> int:
-    from repro.core.checkpoint import sidecar_path
-
-    trace = TraceLog.load(args.trace)
-    program = _resolve_program(args, trace)
-    if args.resume:
-        from repro.api import resume_replay
-
-        resumed = resume_replay(
-            program, trace, checkpoints=sidecar_path(args.trace), config=_config(args)
-        )
-        for step in resumed.attempts:
-            print(f"-- {step}")
-        _print_result(resumed.result)
-        print("-- replay verified against the recorded END witnesses")
-        return 0
-    checkpoint_out = sidecar_path(args.trace) if args.checkpoint_every else None
-    result = api_replay(
-        program,
-        trace,
-        config=_config(args),
-        checkpoint_every=args.checkpoint_every or None,
-        checkpoint_out=checkpoint_out,
-    )
-    _print_result(result)
-    print("-- replay verified against the recorded END witnesses")
-    if checkpoint_out is not None:
-        print(f"-- checkpoints -> {checkpoint_out}")
-    return 0
+    job = _job(args, resume=args.resume, checkpoint_every=args.checkpoint_every)
+    return commands.replay(job, FileInputs(args), sys.stdout)
 
 
 def cmd_checkpoint(args) -> int:
@@ -284,33 +257,7 @@ def cmd_trace_stats(args) -> int:
 
     Exit status 0 on a readable trace; 2 when the file is not a readable
     DejaVu trace (the :class:`TraceFormatError` tier, like trace-info)."""
-    from repro.core.tracelog import trace_stats
-
-    stats = trace_stats(args.trace)
-    major, minor = divmod(stats["format_version"], 256) if stats[
-        "format_version"
-    ] >= 256 else (stats["format_version"], None)
-    version = f"{major}.{minor}" if minor is not None else str(major)
-    print(f"format version: {version}")
-    print(f"file bytes:     {stats['file_bytes']}")
-    for name in ("switch", "value", "slim"):
-        st = stats["streams"].get(name)
-        if st is None:
-            continue
-        codecs = ",".join(f"0x{c:02x}" for c in st["codecs"]) or "-"
-        print(f"{name} stream:")
-        print(f"  entries:       {st['entries']}")
-        print(f"  segments:      {st['segments']}")
-        print(f"  encoded bytes: {st['encoded_bytes']}")
-        print(f"  varint bytes:  {st['raw_bytes']}")
-        print(f"  ratio:         {st['ratio']:.3f}x (codecs {codecs})")
-    slim = stats.get("slim")
-    if slim is not None:
-        print(
-            f"slim recording: kept {slim['kept']} switch delta(s), "
-            f"dropped {slim['dropped']}"
-        )
-    return 0
+    return commands.trace_stats({}, FileInputs(args), sys.stdout)
 
 
 def cmd_engine_stats(args) -> int:
@@ -519,44 +466,16 @@ def cmd_explore(args) -> int:
     instead: the fixed work-list is evaluated exhaustively (all failures
     collected, none minimized) and failing traces stream into the corpus.
     """
-    from repro.explore import Explorer, detect_races
-    from repro.workloads.registry import get_workload
-
     if args.jobs is not None or args.corpus is not None or args.hosts:
         return _explore_campaign(args)
-    if args.workload is not None:
-        spec = get_workload(args.workload)
-        kwargs = spec.merged_kwargs(_workload_overrides(args), explore=True)
-        factory = spec.program_factory(kwargs)
-        oracle = spec.oracle(kwargs)
-        meta = {"workload": spec.name, "workload_kwargs": kwargs}
-    elif args.program is not None:
-        factory = lambda: load_program(args.program, args.main)  # noqa: E731
-        oracle = None
-        meta = {}
-    else:
-        raise UsageError("need a program file or --workload NAME")
-
-    report = Explorer(
-        factory,
-        oracle=oracle,
+    job = _job(
+        args,
         bound=args.bound,
         budget=args.budget,
-        seed=args.seed if args.seed is not None else 0,
-        config=_config(args),
-    ).run()
-    print(report.format())
-    if report.minimized is None:
-        return 0
-
-    trace = report.minimized.trace
-    trace.meta.update(meta)
-    trace.save(args.out)
-    print(f"-- minimized failing trace -> {args.out}")
-    if not args.no_races:
-        races = detect_races(factory(), trace, config=_config(args))
-        print(races.format())
-    return 0
+        out_name=args.out,
+        no_races=args.no_races,
+    )
+    return commands.explore(job, FileInputs(args), sys.stdout)
 
 
 def _explore_campaign(args) -> int:
@@ -621,30 +540,7 @@ def cmd_doctor(args) -> int:
     Exit status follows the classification: 0 clean, 1 a finding
     (truncation, corruption, mismatch, nondeterminism), 2 the file is not
     a readable trace at all."""
-    from repro.core.doctor import diagnose
-
-    program = None
-    workload_kwargs = None
-    if getattr(args, "workload", None) is not None:
-        from repro.workloads.registry import get_workload
-
-        spec = get_workload(args.workload)
-        # intended build parameters: the defaults plus explicit -W, NOT
-        # merged with the trace meta — diffing them against the recording
-        # is the doctor's job
-        workload_kwargs = dict(spec.defaults)
-        workload_kwargs.update(_workload_overrides(args))
-        program = spec.build(workload_kwargs)
-    elif args.program is not None:
-        program = load_program(args.program, args.main)
-    report = diagnose(
-        args.trace,
-        program=program,
-        config=_config(args),
-        workload_kwargs=workload_kwargs,
-    )
-    print(report.format())
-    return report.exit_code
+    return commands.doctor(_job(args), FileInputs(args), sys.stdout)
 
 
 def cmd_faults(args) -> int:
@@ -823,18 +719,20 @@ def make_parser() -> argparse.ArgumentParser:
             metavar="K=V",
             help="override a workload build parameter (repeatable)",
         )
-        p.add_argument("--main", default="Main.main()V")
-        p.add_argument("--heap", type=int, default=400_000, help="semispace words")
+        p.add_argument("--main", default=JOB_DEFAULTS["main"])
+        p.add_argument(
+            "--heap", type=int, default=JOB_DEFAULTS["heap"], help="semispace words"
+        )
         p.add_argument(
             "--seed",
             type=int,
-            default=None,
+            default=JOB_DEFAULTS["seed"],
             help="seeded non-determinism (default: host timer/clock)",
         )
         p.add_argument(
             "--engine",
             choices=sorted(ENGINE_PRESETS),
-            default="full",
+            default=JOB_DEFAULTS["engine"],
             help="optimisation layers on the threaded loop: baseline (none) "
             "| fused (superinstructions) | full (fusion + inline caches); "
             "guest behavior is identical under all of them",
@@ -846,7 +744,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("record", help="execute under DejaVu, save the trace")
     common(p)
-    p.add_argument("-o", "--out", default="run.djv")
+    p.add_argument("-o", "--out", default=KIND_DEFAULTS["record"]["out_name"])
     p.add_argument(
         "--compress",
         action="store_true",
@@ -979,13 +877,15 @@ def make_parser() -> argparse.ArgumentParser:
         help="systematic schedule exploration (preemption-bounded)",
     )
     common(p)
+    defaults = KIND_DEFAULTS["explore"]
     p.add_argument(
-        "--bound", type=int, default=2, help="max preemptions per schedule"
+        "--bound", type=int, default=defaults["bound"],
+        help="max preemptions per schedule",
     )
     p.add_argument(
-        "--budget", type=int, default=250, help="max schedules to run"
+        "--budget", type=int, default=defaults["budget"], help="max schedules to run"
     )
-    p.add_argument("-o", "--out", default="failure.djv")
+    p.add_argument("-o", "--out", default=defaults["out_name"])
     p.add_argument(
         "--no-races",
         action="store_true",
@@ -1152,16 +1052,8 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        # the input file is not a usable trace — same tier as bad usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VMError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return commands.report_failure(exc, sys.stderr)
 
 
 if __name__ == "__main__":

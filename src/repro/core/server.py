@@ -20,6 +20,10 @@ posture, once:
   handler), and :meth:`stop` joins every thread the server started, so
   a TERM'd daemon exits with no orphaned threads.
 
+:func:`spawn_daemon` is the matching client side for the two daemons
+that run as subprocesses (`repro worker`, `repro serve`): launch, then
+wait for the ``listening on HOST:PORT`` line.
+
 ``concurrency=1`` handles connections inline on the accept thread (the
 debugger and worker daemons serialise on one session); ``concurrency>1``
 gives each connection its own named handler thread, bounded by a
@@ -28,6 +32,7 @@ semaphore (the serve daemon multiplexes clients).
 
 from __future__ import annotations
 
+import os
 import signal
 import socket
 import threading
@@ -205,6 +210,46 @@ class SocketServer:
             # serve_forever ran on the caller's thread; it already
             # unwound (or was never started) — still reap connections
             self._join_connections()
+
+
+def spawn_daemon(argv: "list[str]", label: str):
+    """Launch ``python -m repro.cli *argv*`` as a daemon subprocess;
+    return ``(proc, (host, port))`` once it announces its address.
+
+    Every daemon prints ``... listening on HOST:PORT`` as its first
+    stdout line (flushed), which is the only rendezvous needed — no port
+    race, no sleep-and-hope.  A daemon that fails to start is killed and
+    reported as a typed ``TransportError`` naming *label*.
+    """
+    import subprocess
+    import sys
+
+    import repro
+    from repro.core.framing import TransportError
+
+    # the daemon must find the same `repro` the parent runs, however the
+    # parent got it onto sys.path (installed, PYTHONPATH, or a test rig)
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = package_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    line = proc.stdout.readline().strip()
+    marker = "listening on "
+    if marker not in line:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        raise TransportError(f"{label} failed to start: {line!r}")
+    host, port = line.split(marker, 1)[1].rsplit(":", 1)
+    return proc, (host, int(port))
 
 
 def install_term_handler(callback) -> bool:

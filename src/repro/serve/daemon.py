@@ -34,14 +34,13 @@ import os
 import socket
 import threading
 
-from repro.core.server import SocketServer
+from repro.core.server import SocketServer, spawn_daemon
 from repro.serve.protocol import (
     MAX_SERVE_FRAME_BYTES,
     SERVE_PROTOCOL_VERSION,
     FrameDecoder,
     FrameError,
     ServeError,
-    TransportError,
     decode_serve_payload,
     encode_serve_message,
     error_reply,
@@ -169,13 +168,18 @@ class ServeDaemon(SocketServer):
             return self._send(conn, self._health())
         if op == "submit":
             return self._handle_submit(conn, message)
-        if op == "drain":
-            self._send(conn, {"op": "draining"})
-            self.request_stop()
-            return False
-        if op == "shutdown":
-            self._send(conn, {"op": "bye"})
-            self.request_stop()
+        if op in ("drain", "shutdown"):
+            # close the listener before replying, so a client that reads
+            # the reply can no longer connect; the reply counts as in
+            # flight so the drain cannot tear this connection down first
+            with self._busy_lock:
+                self._busy += 1
+            try:
+                self.request_stop()
+                self._send(conn, {"op": "draining" if op == "drain" else "bye"})
+            finally:
+                with self._busy_lock:
+                    self._busy -= 1
             return False
         return self._send(conn, {"op": "error", "detail": f"unknown op {op!r}"})
 
@@ -260,17 +264,10 @@ def spawn_serve_process(
     extra_args: "list[str] | None" = None,
 ):
     """Launch ``repro serve`` as a subprocess; return ``(proc, (host,
-    port))`` once the daemon announces its listening address (the same
-    rendezvous discipline as :func:`repro.campaign.remote
-    .spawn_worker_process`)."""
-    import subprocess
-    import sys
-
-    import repro
-
+    port))`` once the daemon announces its listening address (see
+    :func:`repro.core.server.spawn_daemon`)."""
     argv = [
-        sys.executable, "-m", "repro.cli", "serve",
-        "--host", host, "--port", "0",
+        "serve", "--host", host, "--port", "0",
         "--workers", str(workers), "--queue", str(queue_limit),
     ]
     if deadline is not None:
@@ -278,23 +275,4 @@ def spawn_serve_process(
     if cold:
         argv += ["--cold"]
     argv += list(extra_args or [])
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()
-    marker = "listening on "
-    if marker not in line:
-        proc.kill()
-        raise TransportError(f"serve daemon failed to start: {line!r}")
-    addr = line.split(marker, 1)[1]
-    host_part, port_part = addr.rsplit(":", 1)
-    return proc, (host_part, int(port_part))
+    return spawn_daemon(argv, "serve daemon")

@@ -36,21 +36,30 @@ op                    direction  meaning
 * ``seed`` — the CLI ``--seed`` knob (None: host timer/clock)
 * ``engine`` — an :data:`repro.api.ENGINE_PRESETS` name (default
   ``full``) or a dict of engine flags (the 4-combo ablation space)
-* ``heap`` — semispace words (default 400 000, the CLI default)
+* ``heap`` — semispace words (default 400 000)
 * ``deadline`` — per-job wall-clock budget in seconds; exceeding it
   lands a typed ``JobDeadlineExceeded``, enforced cooperatively at
   engine safe points
 * ``trace`` — sealed trace bytes (replay / doctor / trace-stats)
-* ``bound`` / ``budget`` — explore parameters (CLI defaults 2 / 250)
-* ``out_name`` — the label printed in record output (default
-  ``run.djv``), so daemon stdout is byte-identical to the CLI's
+* ``bound`` / ``budget`` — explore parameters (defaults 2 / 250)
+* ``slim`` / ``compress`` — record options, the CLI's ``--slim`` /
+  ``--compress`` (default off)
+* ``out_name`` — the label printed in record/explore output (default
+  ``run.djv`` / ``failure.djv``), so daemon stdout is byte-identical to
+  the CLI's
 * ``trace_name`` — the path label doctor output prints (the daemon
   diagnoses from a temp file; this substitutes the client's path so
   stdout matches the CLI one-shot)
 
+Every default is the CLI's, from one table
+(:func:`repro.commands.job_defaults`).  ``resume``,
+``checkpoint_every`` and ``no_races`` are command-line only and are
+rejected.
+
 Results carry ``stdout`` (byte-identical to the CLI one-shot's stdout),
-``exit`` (the CLI exit status), and for record jobs ``trace`` (sealed
-trace bytes, byte-identical to the CLI-written file).
+``exit`` (the CLI exit status), and for record jobs and explore jobs
+that minimized a failure ``trace`` (sealed trace bytes, byte-identical
+to the CLI-written file).
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from repro.core.framing import (
     decode_pickle_payload,
     encode_pickle_message,
 )
+from repro.commands import EXECUTORS, job_defaults
 from repro.vm.errors import VMError
 
 __all__ = [
@@ -87,8 +97,8 @@ SERVE_PROTOCOL_VERSION = 1
 #: remote campaign protocol, not the debugger's small packets
 MAX_SERVE_FRAME_BYTES = 64 << 20
 
-#: the job kinds the daemon executes
-JOB_KINDS = ("record", "replay", "explore", "doctor", "trace-stats")
+#: the job kinds the daemon executes: every command with an executor
+JOB_KINDS = tuple(EXECUTORS)
 
 
 class ServeError(VMError):
@@ -130,6 +140,17 @@ def decode_serve_payload(payload: bytes) -> dict:
     return decode_pickle_payload(payload)
 
 
+#: command fields a job may not set: ``resume``/``checkpoint_every``
+#: name a checkpoint sidecar next to the client's trace file, which the
+#: daemon never sees; ``no_races`` is a CLI explore flag outside the schema
+CLI_ONLY_FIELDS = ("resume", "checkpoint_every", "no_races")
+_STR_FIELDS = ("source", "main", "name", "workload", "out_name", "trace_name")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_job(job) -> dict:
     """Normalize and validate one job dict; typed :class:`ServeError` on
     anything malformed (a poison payload must land in a diagnostic the
@@ -141,16 +162,19 @@ def validate_job(job) -> dict:
         raise ServeError(
             f"unknown job kind {kind!r} (known: {', '.join(JOB_KINDS)})"
         )
-    out = dict(job)
-    out.setdefault("workload_args", {})
-    out.setdefault("seed", None)
-    out.setdefault("engine", "full")
-    out.setdefault("heap", 400_000)
-    out.setdefault("deadline", None)
-    out.setdefault("main", "Main.main()V")
-    if out["seed"] is not None and not isinstance(out["seed"], int):
+    for field in CLI_ONLY_FIELDS:
+        if field in job:
+            raise ServeError(f"job field {field!r} is command-line only")
+    out = {**job_defaults(kind), "deadline": None, **job}
+    for field in _STR_FIELDS:
+        if field in out and not isinstance(out[field], str):
+            raise ServeError(f"job {field} must be a string, got {out[field]!r}")
+    for field in ("slim", "compress"):
+        if field in out and not isinstance(out[field], bool):
+            raise ServeError(f"job {field} must be a bool, got {out[field]!r}")
+    if out["seed"] is not None and not _is_int(out["seed"]):
         raise ServeError(f"job seed must be an int or None, got {out['seed']!r}")
-    if not isinstance(out["heap"], int) or out["heap"] <= 0:
+    if not _is_int(out["heap"]) or out["heap"] <= 0:
         raise ServeError(f"job heap must be a positive int, got {out['heap']!r}")
     if out["deadline"] is not None:
         try:
@@ -161,9 +185,7 @@ def validate_job(job) -> dict:
             raise ServeError("job deadline must be positive")
     if not isinstance(out["workload_args"], dict):
         raise ServeError("job workload_args must be a dict")
-    has_program = ("workload" in out and out["workload"]) or (
-        "source" in out and out["source"]
-    )
+    has_program = out.get("workload") or out.get("source")
     if kind in ("record", "explore") and not has_program:
         raise ServeError(f"{kind} job needs a 'workload' name or 'source' text")
     if kind in ("replay", "doctor", "trace-stats"):
@@ -174,15 +196,10 @@ def validate_job(job) -> dict:
     if kind == "replay" and not has_program:
         raise ServeError("replay job needs a 'workload' name or 'source' text")
     if kind == "explore":
-        out.setdefault("bound", 2)
-        out.setdefault("budget", 250)
-        if not isinstance(out["bound"], int) or out["bound"] < 1:
+        if not _is_int(out["bound"]) or out["bound"] < 1:
             raise ServeError(f"explore bound must be >= 1, got {out['bound']!r}")
-        if not isinstance(out["budget"], int) or out["budget"] < 1:
+        if not _is_int(out["budget"]) or out["budget"] < 1:
             raise ServeError(f"explore budget must be >= 1, got {out['budget']!r}")
-    if kind == "record":
-        out.setdefault("out_name", "run.djv")
-        out.setdefault("slim", False)
     engine = out["engine"]
     if isinstance(engine, str):
         from repro.api import ENGINE_PRESETS

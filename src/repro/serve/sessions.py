@@ -88,13 +88,10 @@ class SessionPool:
     def program(self, job: dict):
         """The job's :class:`~repro.api.GuestProgram` — assembled once
         per distinct (workload, build-args) or source text."""
-        workload = job.get("workload")
-        if workload:
-            from repro.workloads.registry import get_workload
+        if job.get("workload"):
+            from repro.commands import workload_build
 
-            spec = get_workload(workload)
-            kwargs = dict(spec.defaults)
-            kwargs.update(job["workload_args"])
+            spec, kwargs = workload_build(job)
             # key on the *resolved* build kwargs, so explicit defaults
             # and implicit defaults share one warm entry
             key = "w:" + _digest((spec.name, sorted(kwargs.items())))
@@ -129,9 +126,10 @@ class SessionPool:
 
 def _build_source_program(job: dict):
     from repro.api import GuestProgram
+    from repro.commands import JOB_DEFAULTS
 
     return GuestProgram.from_source(
-        job["source"], main=job.get("main", "Main.main()V"),
+        job["source"], main=job.get("main", JOB_DEFAULTS["main"]),
         name=job.get("name", "program"),
     )
 

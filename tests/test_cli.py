@@ -209,3 +209,48 @@ class TestDebugRepl:
         assert code == 0
         assert "unknown command" in out
         assert "error:" in out
+
+
+def test_unknown_workload_is_unusable_input(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["record", "--workload", "nope", "-o", str(tmp_path / "t.djv")], capsys
+    )
+    assert code == 2
+    assert "error: unknown workload 'nope'" in err
+
+
+def test_core_modules_do_not_import_the_command_layer():
+    """The library layers stay importable without the CLI or the
+    command core, so their import cost is not paid by library users."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    code = (
+        "import sys, repro.api, repro.core, repro.campaign, repro.explore\n"
+        "loaded = {'repro.cli', 'repro.commands'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_argparse_defaults_are_the_job_defaults():
+    from repro.cli import make_parser
+    from repro.commands import job_defaults
+
+    parser = make_parser()
+    for kind, argv in (
+        ("record", ["record", "p.jasm"]),
+        ("explore", ["explore", "p.jasm"]),
+        ("replay", ["replay", "p.jasm", "t.djv"]),
+    ):
+        args = vars(parser.parse_args(argv))
+        args["out_name"] = args.get("out")
+        for field, value in job_defaults(kind).items():
+            if field != "workload_args":
+                assert args[field] == value, (kind, field)

@@ -198,3 +198,49 @@ class TestRebasedDaemons:
             proc.wait(timeout=10)
             if proc.stdout is not None:
                 proc.stdout.close()
+
+
+class TestStopBeforeReply:
+    """A daemon closes its listener before it answers ``shutdown``, so a
+    client that read the answer can no longer connect."""
+
+    def test_worker_shutdown_refuses_connections_once_answered(self):
+        from repro.campaign.remote import (
+            MAX_REMOTE_FRAME_BYTES,
+            decode_payload,
+            encode_message,
+        )
+        from repro.core.framing import FrameDecoder
+
+        server = WorkerServer()
+        stop = server.request_stop
+
+        def slow_stop():
+            time.sleep(0.3)  # a loaded host: the close lands late
+            stop()
+
+        server.request_stop = slow_stop
+        server.start()
+        try:
+            with _connect(server) as sock:
+                sock.sendall(encode_message({"op": "shutdown"}))
+                decoder = FrameDecoder(MAX_REMOTE_FRAME_BYTES)
+                frames = []
+                while not frames:
+                    chunk = sock.recv(65536)
+                    assert chunk, "worker closed without answering"
+                    frames = decoder.feed(chunk)
+                assert decode_payload(frames[0])["op"] == "bye"
+            with pytest.raises(OSError):
+                socket.create_connection(server.address, timeout=0.5)
+        finally:
+            server.stop()
+
+
+class TestSpawnDaemon:
+    def test_a_daemon_that_never_listens_is_a_typed_error(self):
+        from repro.core.framing import TransportError
+        from repro.core.server import spawn_daemon
+
+        with pytest.raises(TransportError, match="probe failed to start"):
+            spawn_daemon(["no-such-command"], "probe")

@@ -783,3 +783,117 @@ class TestGracefulDrain:
                 proc.stdout.close()
             if client is not None:
                 client.close()
+
+
+class TestSharedCommandCore:
+    """Serve jobs run the CLI's own executors: fields the CLI has work
+    the same way in a job, and fields a job cannot honour are typed
+    rejections."""
+
+    def test_compress_record_matches_cli(self, daemon, tmp_path, capsys):
+        out = str(tmp_path / "packed.djv")
+        code, cli_stdout, _ = run_cli(
+            ["record", "--workload", "bank", "--seed", "7", "--compress",
+             "-o", out],
+            capsys,
+        )
+        assert code == 0
+        result = _submit(daemon, record_job(out_name=out, compress=True))
+        assert result["exit"] == 0 and result["stderr"] == ""
+        assert result["stdout"] == cli_stdout
+        assert result["trace"] == Path(out).read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value", [("resume", True), ("checkpoint_every", 1000)]
+    )
+    def test_sidecar_fields_are_typed_rejections(self, daemon, field, value):
+        trace = b"sealed trace bytes"
+        job = {"kind": "replay", "workload": "bank", "trace": trace, field: value}
+        with pytest.raises(ServeError, match=f"{field!r} is command-line only"):
+            validate_job(job)
+        with ServeClient(daemon.address) as client:
+            with pytest.raises(ServeError, match="command-line only"):
+                client.submit(job)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("source", 123),
+            ("main", None),
+            ("name", 4),
+            ("workload", ["bank"]),
+            ("out_name", b"run.djv"),
+            ("trace_name", 7),
+            ("slim", "yes"),
+            ("compress", 1),
+            ("seed", True),
+            ("heap", True),
+        ],
+    )
+    def test_poison_field_types_are_typed_rejections(self, field, value):
+        job = {"kind": "record", "workload": "bank", field: value}
+        with pytest.raises(ServeError, match=f"job {field} must be"):
+            validate_job(job)
+
+    def test_poison_job_leaves_the_warm_pool_alone(self):
+        d = ServeDaemon(workers=1).start()
+        try:
+            with ServeClient(d.address) as client:
+                with pytest.raises(ServeError, match="job source must be"):
+                    client.submit({"kind": "record", "source": 123})
+                assert client.submit(record_job())["exit"] == 0
+            assert d.pool.stats()["invalidations"] == 0
+            assert d.supervisor.stats()["degraded_cold"] == 0
+        finally:
+            d.stop()
+
+    def test_unknown_workload_is_unusable_input(self, daemon):
+        result = _submit(daemon, record_job(workload="nope"))
+        assert result["exit"] == 2
+        assert result["stderr"].startswith("error: unknown workload 'nope'")
+        assert "trace" not in result
+
+
+    def test_jobs_leave_no_temp_file_behind(self, monkeypatch, tmp_path):
+        import tempfile
+
+        from repro.serve.jobs import run_job
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        pool = SessionPool()
+        recorded = run_job(validate_job(record_job()), pool, CancelToken(None))
+        trace = recorded["trace"]
+        for job in (
+            {"kind": "replay", "workload": "bank", "trace": trace},
+            {"kind": "doctor", "workload": "bank", "trace": trace},
+            {"kind": "trace-stats", "trace": trace},
+            {"kind": "explore", "workload": "bank", "seed": 3, "budget": 30},
+        ):
+            assert run_job(validate_job(job), pool, CancelToken(None))["exit"] == 0
+        hung = {"kind": "record", "source": HUNG_SRC, "seed": 1}
+        with pytest.raises(JobDeadlineExceeded):
+            run_job(validate_job(hung), pool, CancelToken(0.2))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDrainOrdering:
+    def test_drain_closes_the_listener_before_replying(self):
+        """``drain`` answers only once the listener is closed: a client
+        that read ``draining`` cannot connect, however late the close
+        lands on a loaded host."""
+        d = ServeDaemon(workers=1)
+        stop = d.request_stop
+
+        def slow_stop():
+            time.sleep(0.3)
+            stop()
+
+        d.request_stop = slow_stop
+        d.start()
+        try:
+            with ServeClient(d.address) as control:
+                control.drain()
+            with pytest.raises(OSError):
+                socket.create_connection(d.address, timeout=0.5)
+        finally:
+            d.stop()
